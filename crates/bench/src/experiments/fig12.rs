@@ -1,7 +1,8 @@
 //! Figure 12: plan enumeration and pruning — the number of evaluated plans
 //! per algorithm under (all) joint enumeration without partitioning,
 //! (partition) independent partitions, and (partition+prune) with
-//! cost-based and structural pruning.
+//! cost-based and structural pruning. The capped column counts partitions
+//! whose search hit `EnumConfig::max_eval` (their plan may be suboptimal).
 
 use crate::report::Table;
 use fusedml_core::explore::explore;
@@ -106,27 +107,11 @@ pub fn algorithm_dags() -> Vec<(&'static str, Vec<HopDag>)> {
         let t2 = b.sum(xp);
         vec![b.build(vec![diff, t1, t2])]
     };
+    // The 4-layer training DAG at the training geometry: its 20-point
+    // partition is the largest search space of all algorithms.
     let autoenc = {
-        let (bsz, m, h1, h2) = (512, 100, 50, 2);
-        let mut b = fusedml_hop::DagBuilder::new();
-        let x = b.read("Xb", bsz, m, 1.0);
-        let w1 = b.read("W1", m, h1, 1.0);
-        let w2 = b.read("W2", h1, h2, 1.0);
-        let a1 = b.mm(x, w1);
-        let z1 = b.sigmoid(a1);
-        let a2 = b.mm(z1, w2);
-        let z2 = b.sigmoid(a2);
-        let s2 = b.unary(fusedml_linalg::ops::UnaryOp::Sprop, z2);
-        let d2 = b.mult(z2, s2);
-        let z1t = b.t(z1);
-        let dw2 = b.mm(z1t, d2);
-        let w2t = b.t(w2);
-        let dz1 = b.mm(d2, w2t);
-        let s1 = b.unary(fusedml_linalg::ops::UnaryOp::Sprop, z1);
-        let d1 = b.mult(dz1, s1);
-        let xt = b.t(x);
-        let dw1 = b.mm(xt, d1);
-        vec![b.build(vec![dw1, dw2])]
+        let cfg = algos::autoencoder::AeConfig::default();
+        vec![algos::autoencoder::build_batch_dag(cfg.batch, 100, cfg.h1, cfg.h2)]
     };
     vec![
         ("L2SVM", l2svm),
@@ -142,13 +127,14 @@ pub fn algorithm_dags() -> Vec<(&'static str, Vec<HopDag>)> {
 pub fn run() {
     let mut t = Table::new(
         "Figure 12: # of evaluated plans (all vs partition vs partition+prune)",
-        &["algorithm", "all (2^Σ|M'|)", "partition (Σ2^|M'i|)", "partition+prune"],
+        &["algorithm", "all (2^Σ|M'|)", "partition (Σ2^|M'i|)", "partition+prune", "capped"],
     );
     let model = CostModel::default();
     for (name, dags) in algorithm_dags() {
         let mut all: f64 = 0.0;
         let mut part_count: f64 = 0.0;
         let mut pruned: u64 = 0;
+        let mut capped: u64 = 0;
         for dag in &dags {
             let memo = explore(dag);
             let parts = partitions(dag, &memo);
@@ -159,6 +145,7 @@ pub fn run() {
                 part_count += 2f64.powi(p.interesting.len() as i32);
                 let r = mpskip_enum(dag, &memo, p, &compute, &model, &EnumConfig::default());
                 pruned += r.evaluated;
+                capped += r.capped;
             }
         }
         t.row(vec![
@@ -166,6 +153,7 @@ pub fn run() {
             format!("{all:.0}"),
             format!("{part_count:.0}"),
             pruned.to_string(),
+            capped.to_string(),
         ]);
     }
     t.print();

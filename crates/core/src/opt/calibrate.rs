@@ -174,7 +174,6 @@ mod tests {
     fn calibrated_model_still_ranks_fusion_correctly() {
         use crate::explore::explore;
         use crate::opt::{cost, partitions};
-        use crate::util::FxHashSet;
         let mut b = fusedml_hop::DagBuilder::new();
         let x = b.read("X", 1000, 1000, 1.0);
         let y = b.read("Y", 1000, 1000, 1.0);
@@ -185,12 +184,11 @@ mod tests {
         let parts = partitions(&dag, &memo);
         let compute = cost::compute_costs(&dag);
         let model = calibrate();
-        let none = FxHashSet::default();
-        let fused = cost::PlanCoster::new(&dag, &memo, &parts[0], &compute, &model, &none)
-            .partition_cost(f64::INFINITY);
+        let fused =
+            cost::PlanCoster::new(&dag, &memo, &parts[0], &compute, &model).cost(0, f64::INFINITY);
         let empty = crate::memo::MemoTable::new();
-        let base = cost::PlanCoster::new(&dag, &empty, &parts[0], &compute, &model, &none)
-            .partition_cost(f64::INFINITY);
+        let base =
+            cost::PlanCoster::new(&dag, &empty, &parts[0], &compute, &model).cost(0, f64::INFINITY);
         assert!(fused < base, "fusion must stay cheaper under calibration");
     }
 }

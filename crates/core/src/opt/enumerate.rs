@@ -2,37 +2,45 @@
 //! Algorithm 2, Figure 7).
 //!
 //! The exponential space of 2^|M′| materialization assignments is
-//! linearized from negative to positive (fuse-all first, yielding a tight
-//! initial upper bound), scanned with cost-based skip-ahead over subtrees
-//! whose lower bound exceeds the best known plan, and decomposed into
-//! independent sub-problems at valid cut sets of the reachability graph
-//! (structural pruning).
+//! linearized from negative to positive (fuse-all first), scanned with
+//! cost-based skip-ahead over subtrees whose lower bound exceeds the best
+//! known plan, and decomposed into independent sub-problems at valid cut
+//! sets of the reachability graph (structural pruning). With cost-based
+//! pruning on, two more exact rules apply (DESIGN.md §4 X12):
+//! the upper bound is seeded with the fuse-no-redundancy and
+//! all-materialized plans, and a subtree is skipped whole when its free
+//! points cannot change any memo-entry pick of the plan just costed.
 
 use crate::memo::MemoTable;
-use crate::opt::cost::{self, CostModel, PlanCoster};
-use crate::opt::partition::{InterestingPoint, PlanPartition};
+use crate::opt::cost::{assignment_mask, CostModel, PlanCoster};
+use crate::opt::heuristics;
+use crate::opt::partition::PlanPartition;
 use crate::util::FxHashSet;
 use fusedml_hop::{HopDag, HopId};
 
 /// Enumeration configuration (the Figure 12 ablation switches).
 #[derive(Clone, Copy, Debug)]
 pub struct EnumConfig {
-    /// Cost-based pruning with lower bounds and skip-ahead.
+    /// Cost-based pruning: lower bounds, seeded upper bounds, and the exact
+    /// skip rule.
     pub cost_prune: bool,
     /// Structural pruning via cut sets of the reachability graph.
     pub structural_prune: bool,
     /// Safety cap on costed plans (enumeration returns the best plan found
-    /// so far once exceeded; `u64::MAX` disables).
+    /// so far once exceeded and reports the partition as capped;
+    /// `u64::MAX` disables).
     pub max_eval: u64,
 }
 
 impl Default for EnumConfig {
     fn default() -> Self {
-        // The cap bounds worst-case optimization time on very wide DAGs
-        // (SystemML similarly bounds its search space and falls back to the
-        // best plan found); partitions with <= 15 interesting points still
-        // enumerate exactly.
-        EnumConfig { cost_prune: true, structural_prune: true, max_eval: 32_768 }
+        // The cap only bounds worst-case optimization time on pathological
+        // DAGs (SystemML similarly bounds its search space and falls back to
+        // the best plan found). No DAG of the algorithms, the fig8 patterns
+        // or the benchmark corpus comes near it: the 20-point AutoEncoder
+        // partition, the largest, proves its optimum in ~81k of its 2^20
+        // plans.
+        EnumConfig { cost_prune: true, structural_prune: true, max_eval: 1 << 20 }
     }
 }
 
@@ -48,6 +56,9 @@ pub struct EnumResult {
     pub evaluated: u64,
     /// Size of the full search space (2^|M′|).
     pub search_space: f64,
+    /// 1 if `max_eval` cut the search short (the plan may then be
+    /// suboptimal), else 0.
+    pub capped: u64,
 }
 
 /// Enumerates the optimal assignment for one partition.
@@ -59,32 +70,37 @@ pub fn mpskip_enum(
     model: &CostModel,
     cfg: &EnumConfig,
 ) -> EnumResult {
+    let mut coster = PlanCoster::new(dag, memo, part, compute, model);
+    enumerate_partition(dag, part, &mut coster, cfg)
+}
+
+/// [`mpskip_enum`] over an already built costing kernel.
+pub(crate) fn enumerate_partition(
+    dag: &HopDag,
+    part: &PlanPartition,
+    coster: &mut PlanCoster<'_>,
+    cfg: &EnumConfig,
+) -> EnumResult {
+    let n = part.interesting.len();
     // Order: cut-set points first (structural pruning), then the rest.
-    let (order, cutset) = if cfg.structural_prune {
-        plan_order(dag, part)
+    let (order, cutset) =
+        if cfg.structural_prune { plan_order(dag, part) } else { ((0..n).collect(), None) };
+    let seeds = if cfg.cost_prune && n > 0 {
+        vec![
+            assignment_mask(&heuristics::fuse_no_redundancy(dag, part)),
+            assignment_mask(&vec![true; n]),
+        ]
     } else {
-        ((0..part.interesting.len()).collect(), None)
+        Vec::new()
     };
-    let mut state = EnumState {
-        dag,
-        memo,
-        part,
-        compute,
-        model,
-        cfg,
-        evaluated: 0,
-        static_cost: cost::static_parts(dag, part, compute, model),
-    };
-    let best = state.enumerate(&order, cutset.as_ref(), &[]);
-    let mut assignment = vec![false; part.interesting.len()];
-    for (&pt_ix, &on) in order.iter().zip(best.0.iter()) {
-        assignment[pt_ix] = on;
-    }
+    let mut state = EnumState { coster, cfg, seeds, evaluated: 0, capped: false };
+    let (q, cost) = state.enumerate(&order, cutset.as_ref(), 0);
     EnumResult {
-        assignment,
-        cost: best.1,
+        assignment: (0..n).map(|i| i < 64 && q >> i & 1 == 1).collect(),
+        cost,
         evaluated: state.evaluated,
-        search_space: 2f64.powi(part.interesting.len() as i32),
+        search_space: 2f64.powi(n as i32),
+        capped: u64::from(state.capped),
     }
 }
 
@@ -100,164 +116,157 @@ struct CutSet {
     s2: Vec<usize>,
 }
 
-struct EnumState<'a> {
-    dag: &'a HopDag,
-    memo: &'a MemoTable,
-    part: &'a PlanPartition,
-    compute: &'a [f64],
-    model: &'a CostModel,
-    cfg: &'a EnumConfig,
+struct EnumState<'c, 'a> {
+    coster: &'c mut PlanCoster<'a>,
+    cfg: &'c EnumConfig,
+    /// Partition-wide assignments that seed the upper bound.
+    seeds: Vec<u64>,
     evaluated: u64,
-    static_cost: cost::StaticCosts,
+    capped: bool,
 }
 
-impl<'a> EnumState<'a> {
-    /// Costs one assignment (given in `order` space along with any fixed
-    /// points), with partial-costing abort at `upper`.
-    fn cost_assignment(
-        &mut self,
-        order: &[usize],
-        q: &[bool],
-        fixed: &[(usize, bool)],
-        upper: f64,
-    ) -> f64 {
-        let mut materialized: FxHashSet<InterestingPoint> = FxHashSet::default();
-        for (&pt_ix, &on) in order.iter().zip(q.iter()) {
-            if on {
-                materialized.insert(self.part.interesting[pt_ix]);
-            }
-        }
-        for &(pt_ix, on) in fixed {
-            if on {
-                materialized.insert(self.part.interesting[pt_ix]);
-            }
-        }
-        self.evaluated += 1;
-        PlanCoster::new(self.dag, self.memo, self.part, self.compute, self.model, &materialized)
-            .partition_cost(upper)
-    }
+/// A costed plan at scan position `j`.
+#[derive(Clone, Copy, Debug)]
+struct Costed {
+    j: u64,
+    q: u64,
+    cost: f64,
+    /// The plan's touched points, in scan-position bits.
+    touched: u64,
+}
 
-    /// The core linearized scan with skip-ahead (Algorithm 2). `fixed`
-    /// carries assignments of points outside `order` (used by recursive
-    /// sub-problem calls). Returns (assignment in `order` space, cost).
-    fn enumerate(
-        &mut self,
-        order: &[usize],
-        cutset: Option<&CutSet>,
-        fixed: &[(usize, bool)],
-    ) -> (Vec<bool>, f64) {
+impl EnumState<'_, '_> {
+    /// The core linearized scan with skip-ahead (Algorithm 2) over the
+    /// points `order` (indices into `part.interesting`), on top of the
+    /// materialized points `fixed` (used by recursive sub-problem calls).
+    /// Returns the best assignment (point mask, `fixed` included) and its
+    /// cost; ties go to the first plan in scan order.
+    fn enumerate(&mut self, order: &[usize], cutset: Option<&CutSet>, fixed: u64) -> (u64, f64) {
         let len = order.len();
-        let mut best_q = vec![false; len];
-        let mut best_c = f64::INFINITY;
-        if len == 0 {
-            let c = self.cost_assignment(order, &[], fixed, f64::INFINITY);
-            return (best_q, c);
+        if len == 0 || len >= 63 {
+            // Nothing to choose, or a degenerate width: fuse-all
+            // (practically unreachable thanks to partitioning).
+            self.evaluated += 1;
+            return (fixed, self.coster.cost(fixed, f64::INFINITY));
         }
-        if len >= 63 {
-            // Degenerate safeguard: fall back to fuse-all (practically
-            // unreachable thanks to partitioning).
-            let c = self.cost_assignment(order, &best_q, fixed, f64::INFINITY);
-            return (best_q, c);
-        }
+        // createAssignment: bit b of j drives point order[len-1-b], so j=0
+        // is fuse-all and increments flip from the back.
+        let bit_point: Vec<u64> = (0..len).map(|b| 1u64 << order[len - 1 - b]).collect();
+        let assign = |j: u64| -> u64 {
+            let mut q = fixed;
+            let mut m = j;
+            while m != 0 {
+                q |= bit_point[m.trailing_zeros() as usize];
+                m &= m - 1;
+            }
+            q
+        };
+        let to_j = |q: u64| -> u64 {
+            (0..len).filter(|&b| q & bit_point[b] != 0).fold(0, |j, b| j | 1 << b)
+        };
         let total: u64 = 1u64 << len;
+        // The best plan so far, ordered by (cost, scan position): seeds may
+        // lie ahead of the scan, and an earlier plan of equal cost beats
+        // them. `bound(j)` is the cost plan `j` must stay below to win.
+        let mut best = Costed { j: u64::MAX, q: fixed, cost: f64::INFINITY, touched: 0 };
+        let bound =
+            |best: &Costed, j: u64| if j < best.j { best.cost.next_up() } else { best.cost };
+        let mut costed_seeds: Vec<Costed> = Vec::new();
+        let mut seeds_done = false;
+        let start = self.evaluated;
+        let mut fuse_all_touched = 0;
         let mut j: u64 = 0;
         while j < total {
             if self.evaluated >= self.cfg.max_eval {
+                self.capped = true;
                 break;
             }
-            // createAssignment: bit (len-1-i) of j drives point i, so j=0 is
-            // fuse-all and increments flip from the back.
-            let q: Vec<bool> = (0..len).map(|i| (j >> (len - 1 - i)) & 1 == 1).collect();
+            let q = assign(j);
 
             // Structural pruning via cut-set decomposition (lines 6-10).
             if let Some(cs) = cutset {
-                let cs_all_true = q[..cs.len].iter().all(|&b| b);
-                let rest_all_false = q[cs.len..].iter().all(|&b| !b);
-                if cs_all_true && rest_all_false && !cs.s1.is_empty() && !cs.s2.is_empty() {
-                    let mut combined = q.clone();
-                    let cs_fixed: Vec<(usize, bool)> = order[..cs.len]
-                        .iter()
-                        .map(|&p| (p, true))
-                        .chain(fixed.iter().copied())
-                        .collect();
+                let cs_bits = total - (1u64 << (len - cs.len));
+                if j == cs_bits && !cs.s1.is_empty() && !cs.s2.is_empty() {
                     // Solve the sub-problems independently (no nested
                     // structural pruning, as in the paper: RG = null).
                     let s1_order: Vec<usize> = cs.s1.iter().map(|&i| order[i]).collect();
                     let s2_order: Vec<usize> = cs.s2.iter().map(|&i| order[i]).collect();
-                    let (q1, _) = self.enumerate(&s1_order, None, &cs_fixed);
-                    let (q2, _) = self.enumerate(&s2_order, None, &cs_fixed);
-                    for (k, &i) in cs.s1.iter().enumerate() {
-                        combined[i] = q1[k];
-                    }
-                    for (k, &i) in cs.s2.iter().enumerate() {
-                        combined[i] = q2[k];
-                    }
-                    let c = self.cost_assignment(order, &combined, fixed, best_c);
-                    if c < best_c {
-                        best_c = c;
-                        best_q = combined;
+                    let (q1, _) = self.enumerate(&s1_order, None, q);
+                    let (q2, _) = self.enumerate(&s2_order, None, q);
+                    let combined = q1 | q2;
+                    self.evaluated += 1;
+                    let c = self.coster.cost(combined, bound(&best, j));
+                    if c < bound(&best, j) {
+                        best = Costed { j, q: combined, cost: c, touched: 0 };
                     }
                     // Skip the whole subtree below the cut set.
-                    j += (1u64 << (len - cs.len)).saturating_sub(1);
-                    j += 1;
+                    j += 1u64 << (len - cs.len);
                     continue;
                 }
             }
 
             // Cost-based pruning (lines 11-15).
-            if self.cfg.cost_prune && j > 0 {
-                let (mw, mr) = mp_cost_ordered(self.dag, self.part, order, &q, fixed, self.model);
-                let lb = self.static_cost.lower_bound(mw, mr);
-                if lb >= best_c {
-                    let x = q.iter().rposition(|&b| b).unwrap_or(0);
-                    let skip = 1u64 << (len - x - 1);
-                    j += skip.saturating_sub(1);
-                    j += 1;
-                    continue;
+            if self.cfg.cost_prune && j > 0 && self.coster.lower_bound(q) >= bound(&best, j) {
+                j += 1u64 << j.trailing_zeros();
+                continue;
+            }
+
+            let plan = match costed_seeds.iter().find(|s| s.j == j) {
+                Some(&s) => s,
+                None => {
+                    self.evaluated += 1;
+                    let cost = self.coster.cost(q, bound(&best, j));
+                    Costed { j, q, cost, touched: to_j(self.coster.touched()) }
+                }
+            };
+            if plan.cost < bound(&best, j) {
+                best = plan;
+            }
+            if j == 0 {
+                fuse_all_touched = plan.touched;
+            }
+            if self.cfg.cost_prune && !seeds_done && self.evaluated - start >= len as u64 {
+                // Seed the upper bound once the scan proves long. Only seeds
+                // still ahead of the scan can matter; one that agrees with
+                // fuse-all on every point fuse-all's costing touched costs
+                // the same as fuse-all, and one whose lower bound cannot win
+                // is never chosen: skip those.
+                seeds_done = true;
+                for i in 0..self.seeds.len() {
+                    let sj = to_j(self.seeds[i]);
+                    if sj <= j
+                        || sj & fuse_all_touched == 0
+                        || costed_seeds.iter().any(|x| x.j == sj)
+                        || self.evaluated >= self.cfg.max_eval
+                    {
+                        continue;
+                    }
+                    let sq = assign(sj);
+                    if self.coster.lower_bound(sq) >= bound(&best, sj) {
+                        continue;
+                    }
+                    self.evaluated += 1;
+                    let cost = self.coster.cost(sq, f64::INFINITY);
+                    let seed = Costed { j: sj, q: sq, cost, touched: to_j(self.coster.touched()) };
+                    if cost < bound(&best, sj) {
+                        best = seed;
+                    }
+                    costed_seeds.push(seed);
                 }
             }
-
-            let c = self.cost_assignment(order, &q, fixed, best_c);
-            if c < best_c {
-                best_c = c;
-                best_q = q;
-            }
-            j += 1;
+            // Exact skip rule: plans j..j+2^k differ from j only in its k
+            // trailing (zero) points; if the costing never consulted them,
+            // every one of those plans costs exactly the same and none can
+            // beat j, which comes first.
+            let k = if self.cfg.cost_prune {
+                j.trailing_zeros().min(plan.touched.trailing_zeros()).min(len as u32)
+            } else {
+                0
+            };
+            j += 1u64 << k;
         }
-        (best_q, best_c)
+        (best.q, best.cost)
     }
-}
-
-/// `getMPCost` over an order-space assignment plus fixed points; returns
-/// `(write_seconds, read_seconds)`.
-fn mp_cost_ordered(
-    dag: &HopDag,
-    part: &PlanPartition,
-    order: &[usize],
-    q: &[bool],
-    fixed: &[(usize, bool)],
-    model: &CostModel,
-) -> (f64, f64) {
-    let mut seen: FxHashSet<HopId> = FxHashSet::default();
-    let (mut w, mut r) = (0.0, 0.0);
-    let mut add = |pt: InterestingPoint| {
-        if seen.insert(pt.target) {
-            let b = dag.hop(pt.target).size.bytes();
-            w += b / model.write_bw;
-            r += b / model.read_bw;
-        }
-    };
-    for (&ix, &on) in order.iter().zip(q.iter()) {
-        if on {
-            add(part.interesting[ix]);
-        }
-    }
-    for &(ix, on) in fixed {
-        if on {
-            add(part.interesting[ix]);
-        }
-    }
-    (w, r)
 }
 
 /// Builds the enumeration order: the best-scoring valid cut set first (if
@@ -504,5 +513,32 @@ mod tests {
             run(&dag, EnumConfig { cost_prune: false, structural_prune: false, max_eval: 2 });
         assert!(r.evaluated <= 2);
         assert!(r.cost.is_finite());
+        assert_eq!(r.capped, 1);
+    }
+
+    /// A seed that ties with an earlier plan must not win: the result is
+    /// the first optimal plan in scan order, as exhaustive search returns.
+    /// Here materializing the transpose's input edge changes nothing once
+    /// the matrix-vector edge is materialized, so the seeds tie with the
+    /// optimum that precedes them.
+    #[test]
+    fn seeds_keep_first_in_order_ties() {
+        let mut b = DagBuilder::new();
+        let a = b.read("A", 155, 26, 1.0);
+        let v = b.read("v", 26, 1, 1.0);
+        let w = b.read("w", 155, 1, 1.0);
+        let s = b.unary(fusedml_linalg::ops::UnaryOp::Sprop, a);
+        let sv = b.mm(s, v);
+        let wsv = b.mult(w, sv);
+        let st = b.t(s);
+        let g = b.mm(st, wsv);
+        let dag = b.build(vec![wsv, g]);
+        let exhaustive =
+            EnumConfig { cost_prune: false, structural_prune: false, max_eval: u64::MAX };
+        let (full, n) = run(&dag, exhaustive);
+        let (pruned, _) = run(&dag, EnumConfig::default());
+        assert_eq!(n, 3);
+        assert_eq!(pruned.cost.to_bits(), full.cost.to_bits());
+        assert_eq!(pruned.assignment, full.assignment);
     }
 }

@@ -5,10 +5,10 @@
 
 use crate::cplan::OperatorPlan;
 use crate::memo::{MemoEntry, MemoTable};
-use crate::opt::cost::{self, pick_best_entry, CostModel};
-use crate::opt::enumerate::{mpskip_enum, EnumConfig};
+use crate::opt::cost::{self, assignment_mask, CostModel, PlanCoster};
+use crate::opt::enumerate::{enumerate_partition, EnumConfig};
 use crate::opt::heuristics;
-use crate::opt::partition::{partitions, InterestingPoint, PlanPartition};
+use crate::opt::partition::{partitions, PlanPartition};
 use crate::templates::TemplateType;
 use crate::util::{FxHashMap, FxHashSet};
 use fusedml_hop::{HopDag, HopId, OpKind};
@@ -41,6 +41,9 @@ pub struct SelectionResult {
     pub partitions: usize,
     /// Total interesting points.
     pub interesting_points: usize,
+    /// Partitions whose enumeration hit `EnumConfig::max_eval` (their plan
+    /// may be suboptimal).
+    pub capped: u64,
 }
 
 /// Runs candidate selection over a populated memo table.
@@ -63,11 +66,13 @@ pub fn select_plans(
     let mut result = SelectionResult { partitions: parts.len(), ..Default::default() };
     for part in &parts {
         result.interesting_points += part.interesting.len();
+        let mut coster = PlanCoster::new(dag, memo, part, &compute, model);
         let assignment: Vec<bool> = match policy {
             SelectionPolicy::CostBased(cfg) => {
-                let r = mpskip_enum(dag, memo, part, &compute, model, &cfg);
+                let r = enumerate_partition(dag, part, &mut coster, &cfg);
                 result.plans_evaluated += r.evaluated;
                 result.search_space += r.search_space;
+                result.capped += r.capped;
                 r.assignment
             }
             SelectionPolicy::FuseAll => {
@@ -81,14 +86,8 @@ pub fn select_plans(
                 heuristics::fuse_no_redundancy(dag, part)
             }
         };
-        let materialized: FxHashSet<InterestingPoint> = part
-            .interesting
-            .iter()
-            .zip(&assignment)
-            .filter(|(_, &on)| on)
-            .map(|(p, _)| *p)
-            .collect();
-        extract_operators(dag, memo, part, &materialized, &mut result.operators);
+        let q = assignment_mask(&assignment);
+        extract_operators(dag, &coster, part, q, &mut result.operators);
     }
     result.magg_groups = group_multi_aggregates(dag, &result.operators);
     result
@@ -99,9 +98,9 @@ pub fn select_plans(
 /// fusion references of the best entries).
 fn extract_operators(
     dag: &HopDag,
-    memo: &MemoTable,
+    coster: &PlanCoster<'_>,
     part: &PlanPartition,
-    materialized: &FxHashSet<InterestingPoint>,
+    q: u64,
     out: &mut Vec<OperatorPlan>,
 ) {
     let part_set: FxHashSet<HopId> = part.nodes.iter().copied().collect();
@@ -111,13 +110,12 @@ fn extract_operators(
         if !opened.insert(root) {
             continue;
         }
-        let best = pick_best_entry(memo, root, None, materialized);
-        match best {
+        match coster.pick_best(root, None, q) {
             Some(entry) if entry.ref_count() > 0 => {
                 let mut plan =
                     OperatorPlan { root, ttype: entry.ttype, entries: FxHashMap::default() };
                 let mut frontier: Vec<HopId> = Vec::new();
-                collect(dag, memo, root, entry, materialized, &mut plan, &mut frontier);
+                collect(dag, coster, root, entry.clone(), q, &mut plan, &mut frontier);
                 // Refs can degrade to materialized when the assignment
                 // invalidated all compatible sub-plans; a fused operator
                 // covering a single op is pointless — execute it basic.
@@ -156,10 +154,10 @@ fn extract_operators(
 /// input.
 fn collect(
     dag: &HopDag,
-    memo: &MemoTable,
+    coster: &PlanCoster<'_>,
     hop: HopId,
     entry: MemoEntry,
-    materialized: &FxHashSet<InterestingPoint>,
+    q: u64,
     plan: &mut OperatorPlan,
     frontier: &mut Vec<HopId>,
 ) {
@@ -172,8 +170,8 @@ fn collect(
     plan.entries.insert(hop, resolved.clone());
     for (j, &input) in inputs.iter().enumerate() {
         if resolved.inputs[j].is_fused() {
-            match pick_best_entry(memo, input, Some(plan.ttype), materialized) {
-                Some(se) => collect(dag, memo, input, se, materialized, plan, frontier),
+            match coster.pick_best(input, Some(plan.ttype), q) {
+                Some(se) => collect(dag, coster, input, se.clone(), q, plan, frontier),
                 None => {
                     resolved.inputs[j] = crate::memo::InputRef::Materialized;
                     frontier.push(input);

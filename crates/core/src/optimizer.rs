@@ -182,6 +182,7 @@ impl Optimizer {
         };
         let sel = select_plans(dag, &memo, policy, &self.model);
         self.stats.add_plans_evaluated(sel.plans_evaluated);
+        self.stats.capped.fetch_add(sel.capped, Ordering::Relaxed);
         self.stats.partitions.fetch_add(sel.partitions, Ordering::Relaxed);
         self.stats.interesting_points.fetch_add(sel.interesting_points, Ordering::Relaxed);
         self.stats.optimize_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

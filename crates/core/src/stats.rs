@@ -20,6 +20,8 @@ pub struct CodegenStats {
     pub plans_pruned_cost: AtomicU64,
     /// Plans skipped by structural pruning (cut sets).
     pub plans_pruned_structural: AtomicU64,
+    /// Partitions whose enumeration hit `EnumConfig::max_eval`.
+    pub capped: AtomicU64,
     /// Total optimizer time (exploration + selection), nanoseconds.
     pub optimize_nanos: AtomicU64,
     /// Total code generation time (CPlan construction + compile), nanoseconds.
@@ -48,6 +50,7 @@ impl CodegenStats {
             plans_evaluated: self.plans_evaluated.load(Ordering::Relaxed),
             plans_pruned_cost: self.plans_pruned_cost.load(Ordering::Relaxed),
             plans_pruned_structural: self.plans_pruned_structural.load(Ordering::Relaxed),
+            capped: self.capped.load(Ordering::Relaxed),
             optimize_seconds: self.optimize_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             codegen_seconds: self.codegen_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             partitions: self.partitions.load(Ordering::Relaxed),
@@ -63,6 +66,7 @@ impl CodegenStats {
         self.plans_evaluated.store(0, Ordering::Relaxed);
         self.plans_pruned_cost.store(0, Ordering::Relaxed);
         self.plans_pruned_structural.store(0, Ordering::Relaxed);
+        self.capped.store(0, Ordering::Relaxed);
         self.optimize_nanos.store(0, Ordering::Relaxed);
         self.codegen_nanos.store(0, Ordering::Relaxed);
         self.partitions.store(0, Ordering::Relaxed);
@@ -80,6 +84,7 @@ pub struct StatsSnapshot {
     pub plans_evaluated: u64,
     pub plans_pruned_cost: u64,
     pub plans_pruned_structural: u64,
+    pub capped: u64,
     pub optimize_seconds: f64,
     pub codegen_seconds: f64,
     pub partitions: usize,

@@ -11,6 +11,7 @@
 
 use fusedml_core::codegen::{compile_spec, CodegenOptions};
 use fusedml_core::explore::explore;
+use fusedml_core::opt::cost::PlanCoster;
 use fusedml_core::opt::{
     cost, mpskip_enum, partitions, select_plans, CostModel, EnumConfig, SelectionPolicy,
 };
@@ -90,7 +91,10 @@ proptest! {
         }
     }
 
-    /// Pruned enumeration preserves the optimum found by exhaustive search.
+    /// Pruned enumeration (lower bounds, seeded upper bounds, the exact
+    /// skip rule, cut-set decomposition) returns exhaustive search's
+    /// optimum: the same cost and the same assignment, the first optimal
+    /// plan in enumeration order.
     #[test]
     fn mpskipenum_preserves_optimality(spec in dag_strategy()) {
         let dag = build(&spec);
@@ -99,7 +103,7 @@ proptest! {
         let compute = cost::compute_costs(&dag);
         let model = CostModel::default();
         for part in &parts {
-            if part.interesting.len() > 10 {
+            if part.interesting.len() > 14 {
                 continue; // keep exhaustive search tractable
             }
             let full = mpskip_enum(
@@ -107,15 +111,37 @@ proptest! {
                 &EnumConfig { cost_prune: false, structural_prune: false, max_eval: u64::MAX },
             );
             let pruned = mpskip_enum(&dag, &memo, part, &compute, &model, &EnumConfig::default());
+            prop_assert_eq!(pruned.capped, 0);
             prop_assert!(
                 (full.cost - pruned.cost).abs() <= 1e-9 * full.cost.max(1.0),
                 "optimum lost: exhaustive {} vs pruned {} ({} points)",
                 full.cost, pruned.cost, part.interesting.len()
             );
+            prop_assert_eq!(&pruned.assignment, &full.assignment, "{} points", part.interesting.len());
             // Structural decomposition may cost a handful of extra plans on
             // tiny spaces (sub-problem enumerations are counted too); it must
             // never blow past the exhaustive count asymptotically.
             prop_assert!(pruned.evaluated <= 2 * full.evaluated + 4);
+        }
+    }
+
+    /// The exact skip rule's premise: materializing points the costing of
+    /// an assignment never touched leaves its cost unchanged.
+    #[test]
+    fn untouched_points_leave_cost_unchanged(spec in dag_strategy(), bits in 0u64..u64::MAX) {
+        let dag = build(&spec);
+        let memo = explore(&dag);
+        let compute = cost::compute_costs(&dag);
+        let model = CostModel::default();
+        for part in partitions(&dag, &memo).iter().filter(|p| p.interesting.len() < 63) {
+            let all = (1u64 << part.interesting.len()) - 1;
+            let mut coster = PlanCoster::new(&dag, &memo, part, &compute, &model);
+            let q = bits & all;
+            let c = coster.cost(q, f64::INFINITY);
+            let free = all & !q & !coster.touched();
+            for extra in [free, free & bits.rotate_left(17), free & !bits.rotate_left(17)] {
+                prop_assert_eq!(coster.cost(q | extra, f64::INFINITY).to_bits(), c.to_bits());
+            }
         }
     }
 

@@ -133,44 +133,57 @@ proptest! {
     }
 }
 
-/// Deterministic out-of-core chain on the default worker pool: spills occur,
-/// every spilled value is faulted back (no orphan files), and the tracked
-/// peak sits below the unbounded run's peak.
+/// Deterministic out-of-core chain: spills occur, every spilled value is
+/// faulted back (no orphan files), and the tracked peak sits below the
+/// unbounded run's peak — at every worker count. The anchor's last use is a
+/// data dependency on the end of the chain, so it stays live through the
+/// chain however the scheduler interleaves ready tasks.
 #[test]
 fn deterministic_chain_spills_and_reloads_everything() {
     let (rows, cols) = (300, 200); // 480 KB per value
     let mut b = DagBuilder::new();
     let x = b.read("X", rows, cols, 1.0);
-    let anchor = b.exp(x); // stays live to the end
+    let anchor = b.exp(x); // live until the chain ends
     let mut cur = anchor;
     for _ in 0..8 {
         cur = b.sq(cur);
     }
+    // The anchor's last use scales it by the chain's result.
     let s = b.sum(cur);
-    let sa = b.sum(anchor);
-    let dag = b.build(vec![s, sa]);
+    let scaled = b.mult(anchor, s);
+    let sa = b.sum(scaled);
+    let dag = b.build(vec![sa]);
     let mut bindings = Bindings::new();
     bindings.insert("X".into(), generate::rand_dense(rows, cols, 0.9, 1.1, 7));
 
-    let loose = Engine::new(FusionMode::Base);
-    let expect = loose.execute(&dag, &bindings).into_values();
-    let loose_peak = loose.stats().scheduler_snapshot().peak_bytes;
+    for workers in [1, 2, 4] {
+        let loose = Engine::builder(FusionMode::Base).workers(workers).build();
+        let expect = loose.execute(&dag, &bindings).into_values();
+        let loose_peak = loose.stats().scheduler_snapshot().peak_bytes;
 
-    let budget = 2 * 8 * rows * cols + 8 * rows * cols / 2; // 2.5 values
-    let tight = Engine::builder(FusionMode::Base).memory_budget(budget).build();
-    let got = tight.execute(&dag, &bindings).into_values();
-    assert_bitwise_eq(&got, &expect, FusionMode::Base, &[]);
+        let budget = 2 * 8 * rows * cols + 8 * rows * cols / 2; // 2.5 values
+        let tight =
+            Engine::builder(FusionMode::Base).memory_budget(budget).workers(workers).build();
+        let got = tight.execute(&dag, &bindings).into_values();
+        assert_bitwise_eq(&got, &expect, FusionMode::Base, &[]);
 
-    let sched = tight.stats().scheduler_snapshot();
-    assert!(sched.spilled_bytes > 0, "anchor must spill under a 2.5-value budget");
-    assert_eq!(
-        sched.spilled_bytes, sched.reloaded_bytes,
-        "every spilled value is live and must be read back before its last use"
-    );
-    assert!(sched.peak_bytes < loose_peak, "spilling must lower the tracked peak");
-    let spill = tight.spill_stats();
-    assert_eq!(spill.spill_events, spill.reload_events, "no orphan spill files after a run");
-    assert!(spill.bytes_spilled > 0);
+        let sched = tight.stats().scheduler_snapshot();
+        assert!(
+            sched.spilled_bytes > 0,
+            "anchor must spill under a 2.5-value budget ({workers} workers)"
+        );
+        assert_eq!(
+            sched.spilled_bytes, sched.reloaded_bytes,
+            "every spilled value is live and must be read back before its last use ({workers} workers)"
+        );
+        assert!(
+            sched.peak_bytes < loose_peak,
+            "spilling must lower the tracked peak ({workers} workers)"
+        );
+        let spill = tight.spill_stats();
+        assert_eq!(spill.spill_events, spill.reload_events, "no orphan spill files after a run");
+        assert!(spill.bytes_spilled > 0);
+    }
 }
 
 /// The engine-owned temp directory honors the `spill_dir` knob and is swept
